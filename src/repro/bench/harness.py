@@ -52,7 +52,8 @@ def run_point(
 
     With an ``executor`` (and no numeric/``keep_runtime`` state, which a
     cache must never serve), the cell is routed through the executor's
-    cache; otherwise it is simulated directly in this process.
+    cache; otherwise it is simulated directly in this process.  Only a
+    ``keep_runtime=True`` run records a trace (see :class:`Session`).
     """
     if executor is not None and not numeric and not keep_runtime:
         handle = as_handle(platform)

@@ -97,7 +97,9 @@ FUSED_EVENTS = True
 #: On by default (traces feed the verification suite and golden recordings);
 #: perfbench flips the module flag around its macro measurements so the timed
 #: hot path is the production configuration — no trace append per interval,
-#: fused dispatch active.
+#: fused dispatch active.  Library runs record a trace only with
+#: ``keep_runtime=True`` whatever this flag says: an unkept runtime is
+#: unreachable, so its sessions run untraced (and fused).
 TRACE_EVENTS = True
 
 # --- verification -------------------------------------------------------------

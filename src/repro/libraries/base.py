@@ -231,20 +231,21 @@ def _inner_dim(a: Matrix, transa: Trans) -> int:
 
 
 class Session:
-    """Composition session: asynchronous calls sharing one runtime."""
+    """Composition session: asynchronous calls sharing one runtime, which
+    records a trace only with ``keep_runtime=True`` (no one else can read it)."""
 
     def __init__(self, library: SimulatedLibrary, keep_runtime: bool = False) -> None:
         self.library = library
-        self.runtime = Runtime(library.platform, library.runtime_options())
+        options = library.runtime_options()
+        if not keep_runtime:
+            options = dataclasses.replace(options, trace=False)
+        self.runtime = Runtime(library.platform, options)
         self.keep_runtime = keep_runtime
         self._calls = 0
         self._outputs: list[tuple[Matrix, int]] = []
         self._extra_host_seconds = 0.0
 
     # ------------------------------------------------------------- plumbing
-
-    def _grid_shape(self, part) -> tuple[int, int]:
-        return part.shape
 
     def _prepare(self, matrices: list[Matrix], nb: int, scenario: str):
         output = matrices[-1]

@@ -83,6 +83,8 @@ class RuntimeOptions:
     #: default follows :data:`repro.config.TRACE_EVENTS` at construction, so
     #: benchmarks can time the untraced production path by flipping the module
     #: flag without threading an argument through every library surface.
+    #: Library sessions override it to ``False`` unless they keep their
+    #: runtime (``keep_runtime=True``), since no one can read that trace.
     trace: bool = dataclasses.field(default_factory=lambda: config.TRACE_EVENTS)
     #: cap on recorded trace intervals (``None`` = unbounded).  Huge runs
     #: with tracing on keep the first ``trace_limit`` intervals and count the

@@ -51,39 +51,27 @@ class DmdaScheduler(Scheduler):
         self._now = 0.0
         #: bit ``d`` set iff ``_queues[d]`` is non-empty
         self._nonempty_mask = 0
+        #: distinct GPU models, and each device's index into them: the kernel
+        #: estimate is computed once per model per push, not once per device.
+        gpus = platform.gpus[:num_devices]
+        self._specs = list(dict.fromkeys(gpus))
+        self._spec_of = [self._specs.index(spec) for spec in gpus]
 
     # -------------------------------------------------------------- placing
 
-    def _transfer_estimate(self, task: Task, device: int, ctx: SchedulerContext) -> float:
-        """Predicted input-transfer time, per tile, from the source the data
-        manager would actually use (StarPU's calibrated bus model)."""
-        total = 0.0
-        for access in task.accesses:
-            if not access.reads:
-                continue
-            key = access.tile.key
-            if ctx.directory.in_flight_to(key, device) is not None:
-                continue
-            _, bw = ctx.transfer.preview_source(key, device)
-            if bw != float("inf"):
-                total += access.tile.nbytes / bw
-        return total
-
-    def _kernel_estimate(self, task: Task, device: int) -> float:
-        spec = self.platform.gpus[device]
-        return spec.kernel_time(task.flops, task.dim, regularity=task.regularity)
-
     def push(self, task: Task, ctx: SchedulerContext) -> None:
+        transfer = ctx.transfer.input_seconds(task.accesses)
+        kernel = [
+            spec.kernel_time(task.flops, task.dim, regularity=task.regularity)
+            for spec in self._specs
+        ]
+        avail, now, spec_of = self._avail, self._now, self._spec_of
         best_dev, best_ect = 0, float("inf")
         for dev in range(self.num_devices):
-            ect = (
-                max(self._avail[dev], self._now)
-                + self._transfer_estimate(task, dev, ctx)
-                + self._kernel_estimate(task, dev)
-            )
+            ect = max(avail[dev], now) + transfer[dev] + kernel[spec_of[dev]]
             if ect < best_ect:
                 best_dev, best_ect = dev, ect
-        self._avail[best_dev] = best_ect
+        avail[best_dev] = best_ect
         heapq.heappush(self._queues[best_dev], (-task.priority, next(self._seq), task))
         self._nonempty_mask |= 1 << best_dev
 

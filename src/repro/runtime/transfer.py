@@ -167,7 +167,7 @@ class TransferManager:
         key = tile.key
         cache = self.caches[dst]
 
-        # Inlined directory.lookup + is_valid_id: this is the hottest call of
+        # Inlined directory.lookup + validity test: this is the hottest call of
         # the whole runtime (every read access of every launch lands here) and
         # the overwhelmingly common outcome is "already valid on dst" — one
         # dict probe plus one bit test, no method dispatch.
@@ -491,34 +491,46 @@ class TransferManager:
             if idx < len(ready) and ready[idx] >= 0.0
         }
 
-    def preview_source(self, key: TileKey, dst: int) -> tuple[int, float]:
-        """Where would a transfer to ``dst`` come from, and at what bandwidth?
+    def input_seconds(self, accesses) -> list[float]:
+        """Predicted input-transfer seconds of one task on every device.
 
-        A read-only estimate used by cost-model schedulers (DMDAS); mirrors
-        :meth:`_select_source` without touching any state.
+        DMDAS's bus model: each read access not valid on (or in flight to) a
+        device costs its bytes over the link from the source
+        :meth:`_select_source` would pick now.  Read-only apart from interning
+        each read tile once, in access order; each device sums its accesses
+        in access order.
         """
-        directory = self.directory
-        tid = directory.lookup(key)
-        if directory.is_valid_id(tid, dst):
-            return dst, float("inf")
-        dmask = directory.device_valid_mask(tid) & ~(1 << dst)
-        if dmask and self.policy.uses_device_sources:
-            if self.policy.topology_aware:
-                table = self._best_by_mask
-                if table is not None:
-                    src = table[dst][dmask]
+        totals = [0.0] * self.platform.num_gpus
+        policy = self.policy
+        table = self._best_by_mask if policy.topology_aware else None
+        for access in accesses:
+            if not access.reads:
+                continue
+            tile = access.tile
+            tid = self.directory.lookup(tile.key)
+            # Devices holding or receiving the tile need nothing; every other
+            # device sees the same candidate sources, ``valid``.
+            valid = self._dir_valid[tid] >> 1
+            skip = valid | self._dir_fmask[tid] >> 1
+            if not policy.uses_device_sources:
+                valid = 0
+            elif valid and table is None:
+                candidates = self._mask_walk(valid)
+            for dev, total in enumerate(totals):
+                if skip >> dev & 1:
+                    continue
+                if not valid:
+                    bw = self.platform.host_bandwidth
                 else:
-                    src = min(
-                        self._mask_walk(dmask), key=self._rank_key[dst].__getitem__
-                    )
-            else:
-                members = self._mask_members
-                candidates = (
-                    members[dmask] if members is not None else self._mask_walk(dmask)
-                )
-                src = candidates[self._tile_mix(key, dst) % len(candidates)]
-            return src, self._link_bandwidth[(src, dst)]
-        return HOST, self.platform.host_bandwidth
+                    if table is not None:
+                        src = table[dev][valid]
+                    elif policy.topology_aware:
+                        src = min(candidates, key=self._rank_key[dev].__getitem__)
+                    else:
+                        src = candidates[self._tile_mix(tile.key, dev) % len(candidates)]
+                    bw = self._link_bandwidth[(src, dev)]
+                totals[dev] = total + tile.nbytes / bw
+        return totals
 
     @staticmethod
     def _mask_walk(dmask: int) -> list[int]:

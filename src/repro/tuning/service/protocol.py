@@ -38,6 +38,10 @@ PROTOCOL_VERSION = 1
 #: The default TCP port (chosen free; override with ``--port``).
 DEFAULT_PORT = 7341
 
+#: Longest request line the server reads; a longer one is answered with an
+#: error event and the connection is closed.
+MAX_LINE_BYTES = 64 * 1024
+
 #: Where a ``cell`` number came from (observability, not semantics).
 SOURCE_CACHE = "cache"          # already warm before the query arrived
 SOURCE_COALESCED = "coalesced"  # joined another query's in-flight simulation

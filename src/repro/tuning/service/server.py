@@ -241,7 +241,7 @@ class TuningServer:
         """Bind and listen; returns the bound (host, port) — port 0 resolves
         to an ephemeral port, for tests and the smoke harness."""
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+            self._on_connection, self.host, self.port, limit=protocol.MAX_LINE_BYTES
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -276,7 +276,13 @@ class TuningServer:
         tasks: set[asyncio.Task] = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # over the line limit: the rest is unframed
+                    limit = protocol.MAX_LINE_BYTES
+                    message = f"request line exceeds the {limit}-byte limit"
+                    await send({"id": None, "event": "error", "message": message})
+                    break
                 if not line:
                     break
                 try:

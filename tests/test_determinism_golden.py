@@ -21,7 +21,11 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import run_point
+from repro.bench.workloads import default_args, matrices_for
 from repro.blas.tiled.gemm import build_gemm
+from repro.blas.tiled.syr2k import build_syr2k
+from repro.blas.tiled.trsm import build_trsm
+from repro.libraries import base as library_base
 from repro.memory.layout import BlockCyclicDistribution
 from repro.memory.matrix import Matrix
 from repro.runtime.api import Runtime, RuntimeOptions
@@ -126,3 +130,94 @@ def test_scheduler_parity_goldens(name):
         f"{name} drifted from the recorded golden — scheduler behaviour "
         "changed; if deliberate, re-record tests/data/golden_makespans.json"
     )
+
+
+# ------------------------------------------- traced vs untraced trace parity
+#
+# ``trace_parity_points`` pin cells that an untraced run (library sessions
+# without ``keep_runtime``, which also take the fused dispatch path) must
+# reproduce exactly as a traced one does: DMDAS on the non-GEMM routines its
+# per-task input estimate has to get right, and one cell per library of the
+# fast paper sweep.  Fused dispatch fires fewer engine events by design, so
+# ``events_fired`` is pinned per mode; everything else is mode-independent.
+
+
+def _runtime_observation(rt: Runtime, makespan: float) -> dict:
+    return {
+        "makespan": makespan,
+        "makespan_hex": makespan.hex(),
+        "events_fired": rt.sim.events_fired,
+        "transfers": rt.transfer.stats(),
+        "tasks": rt.executor.completed_tasks,
+    }
+
+
+def _run_dmdas(routine: str, n: int, nb: int, trace: bool):
+    """One routine straight on a DMDAS runtime (no library session);
+    returns ``(runtime, makespan)``."""
+    rt = Runtime(make_dgx1(8), RuntimeOptions(scheduler="starpu-dmdas", trace=trace))
+    mats = matrices_for(routine, n)
+    args = default_args(routine)
+    if routine == "syr2k":
+        pa, pb, pc = (rt.partition(mats[m], nb) for m in "abc")
+        tasks = build_syr2k(
+            args["uplo"], args["trans"], args["alpha"], pa, pb, args["beta"], pc
+        )
+        out = mats["c"]
+    elif routine == "trsm":
+        pa, pb = (rt.partition(mats[m], nb) for m in "ab")
+        tasks = build_trsm(
+            args["side"], args["uplo"], args["transa"], args["diag"],
+            args["alpha"], pa, pb,
+        )
+        out = mats["b"]
+    else:
+        raise ValueError(routine)
+    for task in tasks:
+        rt.submit(task)
+    rt.memory_coherent_async(out, nb)
+    rt.executor.graph.critical_path_priorities()
+    return rt, rt.sync()
+
+
+def _run_cell(rec: dict, keep_runtime: bool):
+    """One ``run_point`` cell; returns ``(result, runtime)`` with the
+    session's runtime captured even when the result does not keep it."""
+    made: list[Runtime] = []
+
+    def capture(*args, **kwargs):
+        rt = Runtime(*args, **kwargs)
+        made.append(rt)
+        return rt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(library_base, "Runtime", capture)
+        res = run_point(
+            library=rec["library"], routine=rec["routine"], n=rec["n"],
+            nb=rec["nb"], scenario=rec["scenario"], keep_runtime=keep_runtime,
+        )
+    (rt,) = made
+    return res, rt
+
+
+def _golden_trace_parity_points() -> dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["trace_parity_points"]
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("name", sorted(_golden_trace_parity_points()))
+def test_trace_parity_goldens(name, traced):
+    rec = _golden_trace_parity_points()[name]
+    if rec["kind"] == "dmdas":
+        rt, makespan = _run_dmdas(rec["routine"], rec["n"], rec["nb"], trace=traced)
+    else:
+        res, rt = _run_cell(rec, keep_runtime=traced)
+        # Only a kept runtime is reachable, and only a reachable one traces.
+        assert res.runtime is (rt if traced else None)
+        makespan = res.seconds
+    assert rt.trace.enabled is traced
+    got = _runtime_observation(rt, makespan)
+    mode = "traced" if traced else "untraced"
+    expected = {key: rec[key] for key in got}
+    expected["events_fired"] = rec["events_fired"][mode]
+    assert got == expected, f"{name} ({mode}) drifted from the recorded golden"

@@ -5,6 +5,7 @@ from repro.memory.matrix import Matrix
 from repro.runtime.policies import SourcePolicy
 from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST
+from tests.dmdas_reference import preview_source
 
 
 def setup(policy=SourcePolicy.TOPOLOGY_OPTIMISTIC, num_gpus=8):
@@ -55,7 +56,7 @@ def test_topology_policy_picks_best_ranked_source():
     rt.caches[3].insert(tile.key, tile.nbytes)
     rt.directory.seed_device(tile.key, 5, exclusive=False)
     rt.caches[5].insert(tile.key, tile.nbytes)
-    src, _ = rt.transfer.preview_source(tile.key, 0)
+    src, _ = preview_source(rt.transfer, tile.key, 0)
     assert src == 3
     rt.transfer.ensure_resident(tile, dst=0)
     rt.sim.run()
@@ -69,7 +70,7 @@ def test_host_only_policy_ignores_device_replicas():
     tile = part[(0, 0)]
     rt.directory.seed_device(tile.key, 3, exclusive=False)
     rt.caches[3].insert(tile.key, tile.nbytes)
-    src, bw = rt.transfer.preview_source(tile.key, 0)
+    src, bw = preview_source(rt.transfer, tile.key, 0)
     assert src == HOST
     rt.transfer.ensure_resident(tile, dst=0)
     rt.sim.run()

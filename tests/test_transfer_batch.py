@@ -1,5 +1,6 @@
 """The batched transfer path: ``ensure_resident_batch``, ``_make_room``
-eviction corner cases, and ``preview_source`` / ``_select_source`` agreement.
+eviction corner cases, and agreement of the read-only source preview (the
+DMDAS oracle in ``tests/dmdas_reference.py``) with ``_select_source``.
 
 These pin the bit-identity contract of the array-backed transfer overhaul:
 the batch entry points must be op-for-op equivalent to the sequential calls
@@ -18,6 +19,7 @@ from repro.topology.device import GpuSpec
 from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST, Link, LinkKind
 from repro.topology.platform import Platform
+from tests.dmdas_reference import preview_source
 
 
 def setup(policy=SourcePolicy.TOPOLOGY_OPTIMISTIC, num_gpus=8):
@@ -232,7 +234,7 @@ def test_make_room_dirty_victim_with_host_copy_needs_no_writeback():
     assert rt.transfer.stats()["d2h"] == d2h_before
 
 
-# -------------------------------------- preview_source vs _select_source
+# ------------------------------ reference preview_source vs _select_source
 
 
 _POLICIES = [
@@ -253,8 +255,8 @@ _POLICIES = [
 @settings(max_examples=50, deadline=None)
 def test_property_preview_agrees_with_select(replicas, dst, ti, tj, policy):
     """Over random directory states (and no in-flight transfers) the
-    read-only ``preview_source`` and the stateful ``_select_source`` must
-    name the same source."""
+    read-only reference ``preview_source`` and the stateful
+    ``_select_source`` must name the same source."""
     rt = Runtime(make_dgx1(8), RuntimeOptions(source_policy=policy))
     mat = Matrix.meta(4096, 4096, name="A")
     part = rt.partition(mat, 1024)
@@ -263,7 +265,7 @@ def test_property_preview_agrees_with_select(replicas, dst, ti, tj, policy):
         rt.directory.seed_device(tile.key, d, exclusive=False)
         rt.caches[d].insert(tile.key, tile.nbytes)
 
-    src_prev, bw = rt.transfer.preview_source(tile.key, dst)
+    src_prev, bw = preview_source(rt.transfer, tile.key, dst)
     assert bw > 0
     if dst in replicas:
         # Already valid at the destination: preview reports a free local hit;

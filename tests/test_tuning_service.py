@@ -9,6 +9,7 @@ server and pins byte-identity against the direct ``run_point`` path.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 
 import pytest
@@ -335,6 +336,28 @@ def test_tcp_unknown_op_and_bad_json_answer_with_errors():
     assert unknown["event"] == "error" and "unknown op" in unknown["message"]
     assert unknown["id"] == 7
     assert garbage["event"] == "error" and garbage["id"] is None
+
+
+def test_tcp_oversized_line_answers_error_then_closes():
+    async def scenario(executor, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        pad = "x" * (protocol.MAX_LINE_BYTES + 1024)
+        writer.write(b'{"id": 1, "op": "ping", "pad": "' + pad.encode() + b'"}\n')
+        await writer.drain()
+        event = protocol.decode(await reader.readline())
+        try:
+            rest = await reader.read()
+        except ConnectionResetError:  # closed with the oversized tail unread
+            rest = b""
+        writer.close()
+        with contextlib.suppress(ConnectionResetError):
+            await writer.wait_closed()
+        return event, rest
+
+    event, rest = _tcp(scenario)
+    assert event["event"] == "error" and event["id"] is None
+    assert f"{protocol.MAX_LINE_BYTES}-byte limit" in event["message"]
+    assert rest == b""  # the server closed the connection
 
 
 def test_tcp_shutdown_op_stops_the_server():
