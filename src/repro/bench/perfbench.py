@@ -29,11 +29,11 @@ Usage::
     python -m repro.bench.perfbench --check-against BENCH_runtime.json
 
 Macro wall times are measured in the configuration a production-sized run
-would use: event tracing off (so the fused dispatch path is active — a
-recorder forces the unfused fallback) and the cyclic garbage collector
-paused for the timed region (the task graph is one big cycle web; a mid-run
-collection is pure noise).  Virtual-time fields are identical either way —
-that is the fusion contract the goldens pin down.
+would use: event tracing off (no trace append per interval) and the cyclic
+garbage collector paused for the timed region (the task graph is one big
+cycle web; a mid-run collection is pure noise).  Virtual-time fields and
+event counts are identical either way: tracing never changes the dispatch
+path.
 
 The large-N tier (perf-mode GEMM N=131072, a 262k-task graph) exists to prove
 the streaming/reclamation path scales: it is recorded with peak-memory
@@ -140,12 +140,11 @@ class BenchResult:
 
 
 def bench_engine_events(num_events: int = 200_000) -> BenchResult:
-    """Pure event-heap throughput: schedule + fire a self-respawning chain.
+    """Pure event-heap throughput: post + fire a self-respawning chain.
 
-    Exercises exactly the ``schedule``/``step`` path every simulated DMA and
-    kernel goes through, with a trivial callback — the heap ordering and
-    event allocation costs dominate, which is what the engine optimizations
-    target.
+    Exercises exactly the ``post``/dispatch path every simulated DMA and
+    kernel goes through, with a trivial callback — the heap ordering costs
+    dominate, which is what the engine optimizations target.
     """
     sim = Simulator()
     remaining = num_events
@@ -154,12 +153,12 @@ def bench_engine_events(num_events: int = 200_000) -> BenchResult:
         nonlocal remaining
         remaining -= 1
         if remaining > 0:
-            sim.schedule_after(1.0, tick)
+            sim.post(sim.now + 1.0, tick)
 
     # Seed a small batch so the heap has realistic depth (not a single chain).
     seeds = 64
     for i in range(seeds):
-        sim.schedule(float(i), tick)
+        sim.post(float(i), tick)
     gc.collect()  # do not bill leftover garbage from earlier points to this one
     t0 = time.perf_counter()
     sim.run()
@@ -201,11 +200,10 @@ def bench_macro(name: str, routine: str, n: int, nb: int,
                 phase_breakdown: bool = False) -> BenchResult:
     """One perf-mode routine invocation on the simulated 8-GPU DGX-1.
 
-    The timed run uses the production configuration: event tracing OFF (a
-    recorder forces the unfused dispatch fallback — see
-    :mod:`repro.runtime.executor`) and the cyclic GC paused, so the wall time
-    measures the fused runtime rather than trace bookkeeping and collector
-    pauses.  Virtual-time fields are bit-identical in either configuration.
+    The timed run uses the production configuration: event tracing OFF and
+    the cyclic GC paused, so the wall time measures the runtime rather than
+    trace bookkeeping and collector pauses.  Virtual-time fields are
+    bit-identical in either configuration.
     When ``measure_peak`` is set the point is replayed under tracemalloc for
     the memory column (simulated behaviour is deterministic, so the replay is
     the same run).  ``phase_breakdown`` adds another untimed replay with

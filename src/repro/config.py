@@ -83,23 +83,16 @@ PAPER_TILE_SIZES = (1024, 2048, 4096)
 #: Extended tile sizes used for cuBLAS-XT and SLATE in the paper.
 PAPER_TILE_SIZES_EXTENDED = (1024, 2048, 4096, 8192, 16384)
 
-# --- runtime dispatch ----------------------------------------------------------
-
-#: Default of ``RuntimeOptions.fused_events``: collapse per-task submission
-#: bookkeeping chains into fused engine events (see ``runtime/executor.py``,
-#: "Fused-event dispatch").  Virtual-time output is bit-identical either way;
-#: fusion only reduces engine dispatches and Python overhead.  Automatically
-#: falls back to unfused dispatch when a trace recorder is enabled, so traces
-#: and the race detector keep seeing one event per submission.
-FUSED_EVENTS = True
+# --- tracing -------------------------------------------------------------------
 
 #: Default of ``RuntimeOptions.trace``: record the nvprof-like interval trace.
 #: On by default (traces feed the verification suite and golden recordings);
 #: perfbench flips the module flag around its macro measurements so the timed
-#: hot path is the production configuration — no trace append per interval,
-#: fused dispatch active.  Library runs record a trace only with
+#: hot path carries no trace append per interval.  Tracing only observes: a
+#: traced run takes the same dispatch path and fires the same engine events
+#: as an untraced one.  Library runs record a trace only with
 #: ``keep_runtime=True`` whatever this flag says: an unkept runtime is
-#: unreachable, so its sessions run untraced (and fused).
+#: unreachable, so its sessions run untraced.
 TRACE_EVENTS = True
 
 # --- verification -------------------------------------------------------------

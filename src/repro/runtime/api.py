@@ -79,9 +79,10 @@ class RuntimeOptions:
     retain_inputs: bool = True
     #: fraction of device memory usable as software cache.
     cache_fraction: float = 0.92
-    #: record an nvprof-like trace (disable for the largest sweeps).  The
+    #: record an nvprof-like trace (disable for the largest sweeps).  Tracing
+    #: only observes: dispatch and virtual time are the same either way.  The
     #: default follows :data:`repro.config.TRACE_EVENTS` at construction, so
-    #: benchmarks can time the untraced production path by flipping the module
+    #: benchmarks can time a run without trace appends by flipping the module
     #: flag without threading an argument through every library surface.
     #: Library sessions override it to ``False`` unless they keep their
     #: runtime (``keep_runtime=True``), since no one can read that trace.
@@ -122,14 +123,6 @@ class RuntimeOptions:
     #: default follows :data:`repro.config.VERIFY_COHERENCE` at construction.
     verify_coherence: bool = dataclasses.field(
         default_factory=lambda: config.VERIFY_COHERENCE
-    )
-    #: fuse per-task submission bookkeeping into batched engine events (see
-    #: ``runtime/executor.py`` — "Fused-event dispatch").  Bit-identical
-    #: virtual-time output; automatically falls back to unfused dispatch while
-    #: a trace recorder is enabled so traces see every intermediate event.
-    #: The default follows :data:`repro.config.FUSED_EVENTS` at construction.
-    fused_events: bool = dataclasses.field(
-        default_factory=lambda: config.FUSED_EVENTS
     )
     #: install :class:`repro.bench.phases.PhaseCounters` on this runtime —
     #: per-phase (engine/dispatch/transfer-path) wall-time accumulators for
@@ -200,7 +193,6 @@ class Runtime:
             retain_inputs=opts.retain_inputs,
             retain_tasks=opts.retain_tasks,
             stream_window=opts.stream_window,
-            fused_events=opts.fused_events,
         )
         #: per-phase wall-time counters, or None when not enabled.  Installed
         #: last: the wrappers must see the fully-assembled object graph.
@@ -253,11 +245,12 @@ class Runtime:
         instant, so at most one unsubmitted task of the stream is resident.
 
         Bit-identical virtual-time accounting to :meth:`submit_all` (same
-        submission order, same ``task_overhead`` charges, one event per
-        task).  Schedulers that need whole-DAG critical-path priorities
-        (DMDAS, ``needs_priorities=True``) cannot act on a graph that is not
-        materialized, so for them the stream is drained eagerly — equivalent
-        to :meth:`submit_all`, documented in DESIGN §9.
+        submission order, same ``task_overhead`` charges, same
+        sequence-number reservations).  Schedulers that need whole-DAG
+        critical-path priorities (DMDAS, ``needs_priorities=True``) cannot
+        act on a graph that is not materialized, so for them the stream is
+        drained eagerly — equivalent to :meth:`submit_all`, documented in
+        DESIGN §9.
         """
         if getattr(self.scheduler, "needs_priorities", False):
             for task in tasks:

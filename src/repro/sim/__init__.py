@@ -14,13 +14,11 @@ Public surface:
 
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
-from repro.sim.event import Event
 from repro.sim.stream import Stream
 from repro.sim.trace import Interval, TraceCategory, TraceRecorder
 
 __all__ = [
     "Channel",
-    "Event",
     "Interval",
     "Simulator",
     "Stream",

@@ -11,24 +11,12 @@ streams overlap because their ``[start, end)`` intervals overlap, not because
 host threads run concurrently.  This is the standard discrete-event approach
 and makes every run bit-reproducible.
 
-Heap entries are plain tuples rather than the :class:`Event` objects
-themselves: ``heapq`` then compares native floats and ints (the tie-breaking
-``seq`` is unique, so comparison never reaches the payload), which is
-measurably faster than dispatching dataclass ``__lt__`` per sift step on
-paper-scale runs.  Two entry shapes coexist on the heap:
-
-* ``(time, seq, callback, args, event)`` — from :meth:`Simulator.schedule`,
-  which returns a cancellable :class:`Event` handle.  The callback and args
-  are duplicated into the entry so the dispatch loop never dereferences the
-  handle on the hot path; the trailing handle is consulted only for its
-  ``cancelled`` flag;
-* ``(time, seq, callback, args)`` — from :meth:`Simulator.post`, the
-  fire-and-forget form used by the runtime's hot paths (kernel and transfer
-  completions are never cancelled, so allocating a handle per event was pure
-  churn).
-
-Mixed shapes compare fine: ``seq`` is unique, so ordering is decided before
-tuple comparison ever reaches the third element.
+Every heap entry is one plain tuple, ``(time, seq, callback, args)``,
+pushed by :meth:`Simulator.post` (or :meth:`Simulator.post_reserved`).
+``heapq`` then compares native floats and ints: ``seq`` is unique, so
+simultaneous events fire in posting order and comparison never reaches the
+callback.  Events are fire-and-forget — nothing in the runtime cancels one,
+so there is no handle to allocate and no dead entry to skip.
 
 Inline event fusion
 -------------------
@@ -60,11 +48,6 @@ import heapq
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.event import Event
-
-#: cancellable heap entry: (time, seq, callback, args, event); posted entries
-#: are (time, seq, callback, args).
-_HeapEntry = tuple[float, int, Callable[..., Any], tuple, Event]
 
 _INF = float("inf")
 
@@ -76,8 +59,8 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(2.0, lambda: fired.append("b"))
-    >>> _ = sim.schedule(1.0, lambda: fired.append("a"))
+    >>> sim.post(2.0, fired.append, "b")
+    >>> sim.post(1.0, fired.append, "a")
     >>> sim.run()
     >>> fired
     ['a', 'b']
@@ -99,10 +82,6 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._events_fired = 0
-        #: dead entries still sitting in the heap: incremented by
-        #: :meth:`note_cancelled` (via Event.cancel), decremented when a
-        #: dispatch loop pops a cancelled entry.  Keeps :attr:`pending` O(1).
-        self._cancelled_pending = 0
 
     # ------------------------------------------------------------------ clock
 
@@ -115,37 +94,15 @@ class Simulator:
         """
         return self._events_fired
 
-    # --------------------------------------------------------------- schedule
-
-    def schedule(
-        self, time: float, callback: Callable[..., Any], *args: Any
-    ) -> Event:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
-
-        ``time`` must not be in the past; scheduling *at* the current time is
-        allowed and fires after all previously-scheduled events at that time.
-        Extra positional ``args`` are stored on the event and passed to the
-        callback — scheduling a bound method with its arguments this way
-        avoids allocating a closure per event on the hot path.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event in the past: {time} < now={self.now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, callback, args)
-        event.sim = self
-        heapq.heappush(self._heap, (time, seq, callback, args, event))
-        return event
+    # ------------------------------------------------------------------- post
 
     def post(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no :class:`Event` handle.
+        """Fire ``callback(*args)`` at absolute virtual time ``time``.
 
-        Identical ordering semantics (same clock check, same ``seq`` stream —
-        posted and scheduled events interleave deterministically), but the
-        heap entry is just ``(time, seq, callback, args)``.  The runtime's
-        per-event allocations were dominated by handles nobody ever cancelled.
+        ``time`` must not be in the past; posting *at* the current time is
+        allowed and fires after all previously-posted events at that time.
+        Passing a bound method plus its arguments avoids allocating a closure
+        per event on the hot path.
         """
         if time < self.now:
             raise SimulationError(
@@ -188,31 +145,18 @@ class Simulator:
             )
         heapq.heappush(self._heap, (time, seq, callback, args))
 
-    def schedule_after(
-        self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> Event:
-        """Schedule ``callback`` ``delay`` seconds from now (``delay >= 0``)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        return self.schedule(self.now + delay, callback, *args)
-
     # -------------------------------------------------------------------- run
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns ``False`` if the heap is empty."""
         heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            if len(entry) == 5:
-                if entry[4].cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                entry[4].sim = None  # fired: a later cancel() must not count
-            self.now = entry[0]
-            self._events_fired += 1
-            entry[2](*entry[3])
-            return True
-        return False
+        if not heap:
+            return False
+        entry = heapq.heappop(heap)
+        self.now = entry[0]
+        self._events_fired += 1
+        entry[2](*entry[3])
+        return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events until the heap is empty.
@@ -251,11 +195,6 @@ class Simulator:
             try:
                 while heap:
                     entry = pop(heap)
-                    if len(entry) == 5:
-                        if entry[4].cancelled:
-                            self._cancelled_pending -= 1
-                            continue
-                        entry[4].sim = None  # see step()
                     self.now = entry[0]
                     fired += 1
                     entry[2](*entry[3])
@@ -267,14 +206,13 @@ class Simulator:
         fired = 0
         try:
             while self._heap:
-                if until is not None and self._peek_time() > until:
+                if until is not None and self._heap[0][0] > until:
                     break
                 if max_events is not None and fired >= max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; model livelock?"
                     )
-                if not self.step():
-                    break
+                self.step()
                 fired += 1
             if until is not None and self.now < until:
                 self.now = until
@@ -282,49 +220,20 @@ class Simulator:
             self._running = False
             self.inline_horizon = _INF
 
-    def _peek_time(self) -> float:
-        heap = self._heap
-        while heap and len(heap[0]) == 5 and heap[0][4].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_pending -= 1
-        if not heap:
-            return _INF
-        return heap[0][0]
-
-    def note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` when a queued entry goes dead.
-
-        Engine-internal contract with :class:`Event`: only events whose
-        ``sim`` back-reference is still set (queued, not yet dispatched)
-        report here, so the counter never drifts on cancel-after-fire.
-        """
-        self._cancelled_pending += 1
-
     @property
     def pending(self) -> int:
-        """Number of queued (non-cancelled) heap entries, in O(1).
+        """Number of queued heap entries.
 
-        Maintained as ``len(heap)`` minus a live count of cancelled entries
-        still awaiting their lazy-deletion pop — no heap scan.  A fused
-        dispatch loop's single queued entry may stand for a whole batch of
-        pending actions (the runtime's submission pump), so this is a lower
-        bound on outstanding work in fused mode — exact otherwise.  (The
-        pump itself never reads this property: its hot path peeks the raw
-        heap top, where a cancelled entry merely forces one conservative
-        re-arm — and the runtime never cancels events.)
+        A fused dispatch loop's single queued entry may stand for a whole
+        batch of pending actions (the runtime's submission pump), so this is
+        a lower bound on outstanding work.
         """
-        return len(self._heap) - self._cancelled_pending
+        return len(self._heap)
 
     def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero.
-
-        Event handles issued before the reset are orphaned with the heap:
-        cancelling one afterwards is unsupported (it would skew the O(1)
-        pending counter for a queue that no longer holds the entry).
-        """
+        """Drop all pending events and rewind the clock to zero."""
         self._heap.clear()
         self.now = 0.0
         self.inline_horizon = _INF
         self._seq = 0
         self._events_fired = 0
-        self._cancelled_pending = 0

@@ -145,6 +145,9 @@ class TuneQuery:
                 tiles = tuple(int(t) for t in tiles_raw)
             except (TypeError, ValueError):
                 raise BenchmarkError(f"bad tiles {tiles_raw!r}") from None
+            for nb in tiles:
+                if nb <= 0:
+                    raise BenchmarkError(f"tune query needs tiles > 0, got tile {nb}")
         return cls(
             routine=routine,
             n=n,

@@ -8,6 +8,8 @@ Two guarantees, both load-bearing for the performance work:
 * **bit-identity against the recorded goldens** — the values in
   ``tests/data/golden_makespans.json`` were recorded on the *pre-optimization*
   hot path (PR 2); every optimization since must reproduce them exactly.
+  ``events_fired`` counts engine dispatches of the fused submission path,
+  the only dispatch path (see the file's ``events_note``).
   A mismatch here means an "optimization" changed simulated behaviour, which
   is a correctness bug no wall-time win can justify.
 
@@ -138,8 +140,8 @@ def test_scheduler_parity_goldens(name):
 # without ``keep_runtime``, which also take the fused dispatch path) must
 # reproduce exactly as a traced one does: DMDAS on the non-GEMM routines its
 # per-task input estimate has to get right, and one cell per library of the
-# fast paper sweep.  Fused dispatch fires fewer engine events by design, so
-# ``events_fired`` is pinned per mode; everything else is mode-independent.
+# fast paper sweep.  Tracing only observes the one dispatch path, so both
+# modes must match every pin, ``events_fired`` included.
 
 
 def _runtime_observation(rt: Runtime, makespan: float) -> dict:
@@ -219,5 +221,4 @@ def test_trace_parity_goldens(name, traced):
     got = _runtime_observation(rt, makespan)
     mode = "traced" if traced else "untraced"
     expected = {key: rec[key] for key in got}
-    expected["events_fired"] = rec["events_fired"][mode]
     assert got == expected, f"{name} ({mode}) drifted from the recorded golden"

@@ -338,6 +338,31 @@ def test_tcp_unknown_op_and_bad_json_answer_with_errors():
     assert garbage["event"] == "error" and garbage["id"] is None
 
 
+def test_tcp_non_positive_tiles_answer_with_errors():
+    async def scenario(executor, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        for i, nb in enumerate((0, -512), start=1):
+            query = {"routine": "gemm", "n": 4096, "tiles": [nb]}
+            writer.write(protocol.encode({"id": i, "op": "tune", "query": query}))
+        await writer.drain()
+        # One reply per request, in no defined order.
+        events = [
+            protocol.decode(await asyncio.wait_for(reader.readline(), 10))
+            for _ in range(2)
+        ]
+        writer.close()
+        await writer.wait_closed()
+        return executor, {e["id"]: e for e in events}
+
+    executor, events = _tcp(scenario)
+    for request_id, nb in ((1, 0), (2, -512)):
+        event = events[request_id]
+        assert event["event"] == "error"
+        assert event["kind"] == "BenchmarkError"
+        assert f"got tile {nb}" in event["message"]
+    assert executor.cells_simulated == 0
+
+
 def test_tcp_oversized_line_answers_error_then_closes():
     async def scenario(executor, host, port):
         reader, writer = await asyncio.open_connection(host, port)
