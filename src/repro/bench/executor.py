@@ -17,6 +17,7 @@ experiments in one ``all`` run collapse to a single simulation.
 from __future__ import annotations
 
 import asyncio
+import gc
 import multiprocessing
 import os
 import threading
@@ -33,33 +34,74 @@ def default_jobs() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
+class _CollectorPause:
+    """Reentrant, thread-safe pause of CPython's cyclic garbage collector.
+
+    ``with collector_paused:`` disables the collector on the outermost entry
+    and, on the matching outermost exit, restores the state it found (a
+    collector that was already off stays off), also when the body raises.
+    The nesting depth is shared by every thread — the tuning service
+    evaluates batches on several — so the collector resumes only once the
+    last concurrent cell has left.
+
+    Runtimes leave no reference cycles (``tests/test_no_reference_cycles.py``
+    pins this), so refcounting frees a cell's whole state when it is dropped
+    and a paused collector misses nothing; a running one would re-traverse
+    the live task graph on every allocation-driven collection.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+
+#: The process-wide collector pause: one shared depth, so uses nest.
+collector_paused = _CollectorPause()
+
+
 def evaluate_cell(spec: CellSpec) -> CellOutcome:
     """Evaluate one cell in the current process (the pool's worker entry).
 
     Deterministic library failures (unsupported routine, BLASX allocation
     limits) become ``ok=False`` outcomes so they cache and cross process
-    boundaries like measurements; programming errors still raise.
+    boundaries like measurements; programming errors still raise.  The cell
+    runs with the cyclic collector paused (see :data:`collector_paused`).
     """
     from repro.bench import harness
 
-    platform = spec.platform.build()
-    try:
-        if spec.mode == "composition":
-            from repro.bench.experiments.fig8_composition import run_composition
+    with collector_paused:
+        platform = spec.platform.build()
+        try:
+            if spec.mode == "composition":
+                from repro.bench.experiments.fig8_composition import run_composition
 
-            tflops, _ = run_composition(spec.library, spec.n, spec.nb, platform)
-            return CellOutcome(ok=True, tflops=tflops)
-        if spec.mode != "perf":
-            raise BenchmarkError(f"unknown cell mode {spec.mode!r}")
-        result = harness.run_point(
-            spec.library, spec.routine, spec.n, spec.nb, platform,
-            scenario=spec.scenario, k=spec.k,
+                tflops, _ = run_composition(spec.library, spec.n, spec.nb, platform)
+                return CellOutcome(ok=True, tflops=tflops)
+            if spec.mode != "perf":
+                raise BenchmarkError(f"unknown cell mode {spec.mode!r}")
+            result = harness.run_point(
+                spec.library, spec.routine, spec.n, spec.nb, platform,
+                scenario=spec.scenario, k=spec.k,
+            )
+        except LibraryError as exc:
+            return CellOutcome(ok=False, error=str(exc))
+        return CellOutcome(
+            ok=True, tflops=result.tflops, seconds=result.seconds, flops=result.flops
         )
-    except LibraryError as exc:
-        return CellOutcome(ok=False, error=str(exc))
-    return CellOutcome(
-        ok=True, tflops=result.tflops, seconds=result.seconds, flops=result.flops
-    )
 
 
 class SweepExecutor:

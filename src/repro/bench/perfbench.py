@@ -30,8 +30,9 @@ Usage::
 
 Macro wall times are measured in the configuration a production-sized run
 would use: event tracing off (no trace append per interval) and the cyclic
-garbage collector paused for the timed region (the task graph is one big
-cycle web; a mid-run collection is pure noise).  Virtual-time fields and
+garbage collector paused for the timed region, like every sweep cell
+(runtimes hold no reference cycles, so a collection there only re-traverses
+the live task graph).  Virtual-time fields and
 event counts are identical either way: tracing never changes the dispatch
 path.
 
@@ -54,6 +55,7 @@ import tracemalloc
 from pathlib import Path
 
 from repro import config
+from repro.bench.executor import collector_paused
 from repro.bench.harness import run_point
 from repro.sim.engine import Simulator
 from repro.topology.dgx1 import make_dgx1
@@ -212,19 +214,20 @@ def bench_macro(name: str, routine: str, n: int, nb: int,
     runs, so the timed headline never pays for either instrumentation.
     """
     plat = make_dgx1(8)
-    # The previous point's task graph is one big cycle web (Task.successors);
-    # collect it now so its collection is not billed to this measurement.
+    # Task.successors points forward only, and runtimes hold no reference
+    # cycles (tests/test_no_reference_cycles.py), so refcounting already
+    # freed earlier points; collect whatever cyclic garbage the caller left
+    # so its collection is not billed to this measurement.
     gc.collect()
     prev_trace = config.TRACE_EVENTS
     config.TRACE_EVENTS = False
-    gc.disable()
     try:
-        t0 = time.perf_counter()
-        res = run_point(routine=routine, library="xkblas", n=n, nb=nb,
-                        platform=plat, keep_runtime=True)
-        wall = time.perf_counter() - t0
+        with collector_paused:
+            t0 = time.perf_counter()
+            res = run_point(routine=routine, library="xkblas", n=n, nb=nb,
+                            platform=plat, keep_runtime=True)
+            wall = time.perf_counter() - t0
     finally:
-        gc.enable()
         config.TRACE_EVENTS = prev_trace
     rt = res.runtime
     assert rt is not None
@@ -241,20 +244,19 @@ def bench_macro(name: str, routine: str, n: int, nb: int,
         )
     phases = None
     if phase_breakdown:
-        res = rt = None  # the replay should not race the kept graph's GC
+        res = rt = None  # free the kept runtime before the replay
         gc.collect()
         prev_trace2 = config.TRACE_EVENTS
         prev_phases = config.PHASE_COUNTERS
         config.TRACE_EVENTS = False
         config.PHASE_COUNTERS = True
-        gc.disable()
         try:
-            replay = run_point(routine=routine, library="xkblas", n=n, nb=nb,
-                               platform=make_dgx1(8), keep_runtime=True)
+            with collector_paused:
+                replay = run_point(routine=routine, library="xkblas", n=n, nb=nb,
+                                   platform=make_dgx1(8), keep_runtime=True)
             assert replay.runtime is not None
             phases = replay.runtime.phases
         finally:
-            gc.enable()
             config.PHASE_COUNTERS = prev_phases
             config.TRACE_EVENTS = prev_trace2
     return BenchResult(
@@ -319,11 +321,8 @@ def _run_large_gemm(n: int, nb: int, streaming: bool,
 def _large_phases(n: int, nb: int, streaming: bool):
     """Untimed phase-counter replay of one large-GEMM configuration."""
     gc.collect()
-    gc.disable()
-    try:
+    with collector_paused:
         return _run_large_gemm(n, nb, streaming, phase_counters=True)[4]
-    finally:
-        gc.enable()
 
 
 def bench_large_gemm(name: str, n: int, nb: int,
@@ -331,7 +330,8 @@ def bench_large_gemm(name: str, n: int, nb: int,
     """The large-N tier: a streamed point and its materialized counterpart.
 
     Runs per configuration: the streamed/reclaiming configuration once
-    untraced (that is the recorded wall time) and once under tracemalloc for
+    untraced with the collector paused (that is the recorded wall time, taken
+    like the macro rows) and once under tracemalloc for
     its peak, then the materialized list-submission configuration once under
     tracemalloc.  The retained result's wall time is therefore
     tracing-skewed; that is fine because the whole ``large`` kind is recorded
@@ -346,11 +346,12 @@ def bench_large_gemm(name: str, n: int, nb: int,
     bit-identical — that regime is what the golden tests pin down).
     """
     gc.collect()
-    t0 = time.perf_counter()
-    makespan, events, tasks, transfers, _ = _run_large_gemm(
-        n, nb, streaming=True
-    )
-    wall = time.perf_counter() - t0
+    with collector_paused:
+        t0 = time.perf_counter()
+        makespan, events, tasks, transfers, _ = _run_large_gemm(
+            n, nb, streaming=True
+        )
+        wall = time.perf_counter() - t0
     stream_peak = _traced_peak(lambda: _run_large_gemm(n, nb, streaming=True))
     s_phases = _large_phases(n, nb, streaming=True) if phase_breakdown else None
     streamed = BenchResult(
@@ -408,15 +409,12 @@ def bench_macro_stream(name: str, n: int, nb: int,
     floor *and* the exact makespan/transfer-stat match.
     """
     gc.collect()
-    gc.disable()
-    try:
+    with collector_paused:
         t0 = time.perf_counter()
         makespan, events, tasks, transfers, _ = _run_large_gemm(
             n, nb, streaming=True
         )
         wall = time.perf_counter() - t0
-    finally:
-        gc.enable()
     phases = _large_phases(n, nb, streaming=True) if phase_breakdown else None
     return BenchResult(
         name=name, kind="macro", routine="gemm", n=n, nb=nb,

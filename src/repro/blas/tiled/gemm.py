@@ -15,6 +15,7 @@ from repro.blas.kernels import k_gemm
 from repro.blas.params import Trans
 from repro.blas.tiled.common import check_same_nb, require
 from repro.memory.layout import TilePartition
+from repro.runtime.access import RW, Access, R, W
 from repro.runtime.task import Task
 from repro.topology.device import characteristic_dim
 
@@ -45,10 +46,12 @@ def build_gemm(
     # applies beta, the accumulators use 1.0) and one of a handful of tile
     # shapes.  The per-task body is the submission-phase hot loop of the
     # macro benchmark, so everything reusable is staged up front: the kernel
-    # closures, the interned read accesses of every op(A) row / op(B) column
-    # (with the inner dimension of each A tile), and a fused
-    # (flops, characteristic_dim) memo per distinct shape.  Emission order,
-    # access objects and task field values are identical to routing each
+    # closures, one read access per op(A) row / op(B) column tile (with the
+    # inner dimension of each A tile), and a fused (flops, characteristic_dim)
+    # memo per distinct shape.  Each access is shared by every task of this
+    # graph that touches its tile, like the tile-interned ones
+    # :func:`make_task` uses, but costs no weak reference on the tile.
+    # Emission order and task field values are identical to routing each
     # task through :func:`make_task`.
     k_head = k_gemm(alpha, beta, transa, transb)
     k_acc = k_gemm(alpha, 1.0, transa, transb)
@@ -63,15 +66,15 @@ def build_gemm(
     a_accs = []
     for i in range(mt):
         row = a.row(i) if a_notrans else a.col(i)
-        a_accs.append([(t.read_access, t.n if a_notrans else t.m) for t in row])
+        a_accs.append([(Access(t, R), t.n if a_notrans else t.m) for t in row])
     for j in range(nt):
-        b_accs = [t.read_access for t in (b.col(j) if b_notrans else b.row(j))]
+        b_accs = [Access(t, R) for t in (b.col(j) if b_notrans else b.row(j))]
         for i in range(mt):
             ctile = c[(i, j)]
             cm = ctile.m
             cn = ctile.n
-            c_rw = ctile.rw_access
-            c_head = ctile.write_access if head_write_only else c_rw
+            c_rw = Access(ctile, RW)
+            c_head = Access(ctile, W) if head_write_only else c_rw
             a_row = a_accs[i]
             for l in range(kt):
                 a_acc, kb = a_row[l]

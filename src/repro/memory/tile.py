@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import typing
+import weakref
 
 from repro.memory.view import MemoryView
 
@@ -62,8 +63,8 @@ class Tile:
     #: ``m``/``n`` per emitted task to derive flops and dims.
     m: int = dataclasses.field(init=False, repr=False)
     n: int = dataclasses.field(init=False, repr=False)
-    #: memoized READ/READWRITE/WRITE :class:`~repro.runtime.access.Access`
-    #: objects — see :attr:`read_access`.
+    #: weak references to the interned READ/READWRITE/WRITE
+    #: :class:`~repro.runtime.access.Access` objects — see :attr:`read_access`.
     _read_access: object = dataclasses.field(init=False, repr=False, default=None)
     _rw_access: object = dataclasses.field(init=False, repr=False, default=None)
     _write_access: object = dataclasses.field(init=False, repr=False, default=None)
@@ -74,6 +75,13 @@ class Tile:
         object.__setattr__(self, "m", self.view.m)
         object.__setattr__(self, "n", self.view.n)
 
+    def _intern(self, slot: str, mode_name: str):
+        from repro.runtime.access import Access, AccessMode
+
+        acc = Access(self, AccessMode[mode_name])
+        object.__setattr__(self, slot, weakref.ref(acc))
+        return acc
+
     @property
     def read_access(self):
         """The interned read-only :class:`~repro.runtime.access.Access`.
@@ -81,39 +89,33 @@ class Tile:
         Tiled builders declare the same tile as a READ input of many tasks
         (one A-panel tile feeds a whole block row of GEMMs); accesses are
         immutable after construction, so every reader can share one object
-        instead of allocating per task.  Lazy import avoids a module cycle
-        (``runtime.access`` type-hints against ``memory.tile``).
+        instead of allocating per task.  The tile keeps only a weak reference:
+        the access points back at the tile, and a strong one would make every
+        tile a reference cycle.  Once no task holds the access it dies and the
+        next request interns a fresh, equal one.  Lazy import avoids a module
+        cycle (``runtime.access`` type-hints against ``memory.tile``).
         """
-        acc = self._read_access
-        if acc is None:
-            from repro.runtime.access import Access, AccessMode
-
-            acc = Access(self, AccessMode.READ)
-            object.__setattr__(self, "_read_access", acc)
-        return acc
+        ref = self._read_access
+        if ref is not None and (acc := ref()) is not None:
+            return acc
+        return self._intern("_read_access", "READ")
 
     @property
     def rw_access(self):
         """The interned READWRITE access (one per chain of accumulating
         tasks on an output tile — see :attr:`read_access` for the rationale)."""
-        acc = self._rw_access
-        if acc is None:
-            from repro.runtime.access import Access, AccessMode
-
-            acc = Access(self, AccessMode.READWRITE)
-            object.__setattr__(self, "_rw_access", acc)
-        return acc
+        ref = self._rw_access
+        if ref is not None and (acc := ref()) is not None:
+            return acc
+        return self._intern("_rw_access", "READWRITE")
 
     @property
     def write_access(self):
         """The interned WRITE-only access (chain heads under ``beta == 0``)."""
-        acc = self._write_access
-        if acc is None:
-            from repro.runtime.access import Access, AccessMode
-
-            acc = Access(self, AccessMode.WRITE)
-            object.__setattr__(self, "_write_access", acc)
-        return acc
+        ref = self._write_access
+        if ref is not None and (acc := ref()) is not None:
+            return acc
+        return self._intern("_write_access", "WRITE")
 
     @property
     def i(self) -> int:

@@ -50,10 +50,11 @@ class Access:
     A hand-written ``__slots__`` class rather than a frozen dataclass: builders
     create one per operand per task (three per GEMM tile task), and the frozen
     machinery's ``object.__setattr__`` calls tripled the construction cost of
-    the graph-build phase.  Instances are immutable by convention.
+    the graph-build phase.  Instances are immutable by convention, and
+    weak-referenceable so a tile can intern its accesses without a cycle.
     """
 
-    __slots__ = ("tile", "mode", "reads", "writes")
+    __slots__ = ("tile", "mode", "reads", "writes", "__weakref__")
 
     def __init__(self, tile: Tile, mode: AccessMode) -> None:
         self.tile = tile

@@ -116,6 +116,50 @@ class _Worker:
         self.stream0 = self.streams[0]
 
 
+def _load_probes(workers: list[_Worker], sim: Simulator) -> tuple:
+    """The ``device_load`` / ``device_idle`` / ``device_loads`` callables
+    wired into the executor's :class:`SchedulerContext`.
+
+    They close over the workers and the simulator, never over the executor:
+    the executor holds the context, so bound methods here would make every
+    runtime a reference cycle that only the cyclic collector can free.
+    """
+    loads = [0.0] * len(workers)
+
+    def device_load(dev: int) -> float:
+        """Compute backlog (seconds of queued kernels) of device ``dev``."""
+        load = workers[dev].stream0.busy_until - sim.now
+        return load if load > 0.0 else 0.0
+
+    def device_idle(dev: int) -> bool:
+        """A worker may steal while it is starving (little work in flight).
+
+        Tasks in flight that are still waiting on transfers do not make the
+        GPU busy — XKaapi worker threads keep stealing while DMAs are pending
+        — but a worker with a few tasks enqueued ahead stops raiding, which
+        bounds hoarding while preserving transfer/compute pipelining.
+        """
+        worker = workers[dev]
+        return (
+            worker.inflight < worker.steal_threshold
+            or worker.stream0.busy_until <= sim.now
+        )
+
+    def device_loads() -> list[float]:
+        """All device backlogs at once (bulk form of ``device_load``).
+
+        Returns a buffer reused across calls — callers must consume it before
+        the next call (the schedulers read it synchronously inside ``push``).
+        """
+        now = sim.now
+        for i, worker in enumerate(workers):
+            load = worker.stream0.busy_until - now
+            loads[i] = load if load > 0.0 else 0.0
+        return loads
+
+    return device_load, device_idle, device_loads
+
+
 class Executor:
     """Binds graph + scheduler + transfer manager to the simulator."""
 
@@ -159,13 +203,14 @@ class Executor:
             )
             for dev in platform.device_ids()
         ]
+        device_load, device_idle, device_loads = _load_probes(self.workers, sim)
         self.ctx = SchedulerContext(
             platform=platform,
             directory=transfer.directory,
             transfer=transfer,
-            device_load=self._device_load,
-            device_idle=self._device_idle,
-            device_loads=self._device_loads,
+            device_load=device_load,
+            device_idle=device_idle,
+            device_loads=device_loads,
         )
         self._submit_clock = 0.0
         self._wake_origin = 0
@@ -216,7 +261,6 @@ class Executor:
         for w in self.workers:
             if w.inflight >= w.window:  # window == 0 (degenerate config)
                 self._full_mask |= 1 << w.device
-        self._loads_buf = [0.0] * len(self.workers)
         #: virtual time of the last wake that completed with the wake-visible
         #: state unchanged since (-1.0 = dirty).  See _wake_all for the
         #: invariant; _enqueue and _complete_task dirty it.
@@ -453,7 +497,7 @@ class Executor:
                 elif (
                     worker.inflight < worker.steal_threshold
                     or worker.stream0.busy_until <= now
-                ):  # _device_idle, inlined on the hottest loop of the runtime
+                ):  # device_idle, inlined on the hottest loop of the runtime
                     task = pop(worker.device, ctx, idle=True)
                 else:
                     dead |= bit  # idleness only decays during a wake
@@ -467,38 +511,6 @@ class Executor:
         # that so back-to-back wakes at one instant (the tail of every
         # completion cascade) skip the rescan.
         self._wake_clean_at = now
-
-    def _device_load(self, dev: int) -> float:
-        """Compute backlog (seconds of queued kernels) of device ``dev``."""
-        load = self.workers[dev].stream0.busy_until - self.sim.now
-        return load if load > 0.0 else 0.0
-
-    def _device_loads(self) -> list[float]:
-        """All device backlogs at once (bulk form of :meth:`_device_load`).
-
-        Returns a buffer reused across calls — callers must consume it before
-        the next call (the schedulers read it synchronously inside ``push``).
-        """
-        now = self.sim.now
-        buf = self._loads_buf
-        for i, worker in enumerate(self.workers):
-            load = worker.stream0.busy_until - now
-            buf[i] = load if load > 0.0 else 0.0
-        return buf
-
-    def _device_idle(self, dev: int) -> bool:
-        """A worker may steal while it is starving (little work in flight).
-
-        Tasks in flight that are still waiting on transfers do not make the
-        GPU busy — XKaapi worker threads keep stealing while DMAs are pending
-        — but a worker with a few tasks enqueued ahead stops raiding, which
-        bounds hoarding while preserving transfer/compute pipelining.
-        """
-        worker = self.workers[dev]
-        return (
-            worker.inflight < worker.steal_threshold
-            or worker.stream0.busy_until <= self.sim.now
-        )
 
     def _launch(self, task: Task, worker: _Worker) -> None:
         dev = worker.device

@@ -25,6 +25,47 @@ from repro.topology.link import HOST, LinkKind
 from repro.topology.platform import Platform
 
 
+def _selection_tables(platform: Platform, max_mask_gpus: int) -> tuple:
+    """``(rank_key, link_bandwidth, mask_members, best_source_by_mask)``.
+
+    ``rank_key[dst][src]`` is the (performance-rank, src) sort key behind
+    :meth:`Platform.peers_by_rank`; ``link_bandwidth`` the raw directed
+    figure.  Candidate-mask tables: ``mask_members[mask]`` lists the devices
+    of a validity bitmask in ascending id order (the order the bitmask walk
+    produces), and ``best_source_by_mask[dst][mask]`` is the rank-minimal
+    member — the whole topology-aware source pick becomes one index.  Both
+    mask tables are ``None`` above ``max_mask_gpus`` devices.
+    """
+    n = platform.num_gpus
+    devices = range(n)
+    rank_key = [
+        {src: (platform.p2p_performance_rank(src, dst), src) for src in devices if src != dst}
+        for dst in devices
+    ]
+    link_bandwidth = {
+        (src, dst): platform.link(src, dst).bandwidth
+        for dst in devices
+        for src in devices
+        if src != dst
+    }
+    if n > max_mask_gpus:
+        return rank_key, link_bandwidth, None, None
+    members: list[tuple[int, ...]] = [()] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        members[mask] = (low.bit_length() - 1, *members[mask ^ low])
+    best: list[list[int]] = []
+    for dst in devices:
+        rank = rank_key[dst]
+        table = [-1] * (1 << n)
+        for mask in range(1, 1 << n):
+            m = mask & ~(1 << dst)
+            if m:
+                table[mask] = min(members[m], key=rank.__getitem__)
+        best.append(table)
+    return rank_key, link_bandwidth, tuple(members), best
+
+
 class Fabric:
     """All communication channels of one simulated platform instance.
 
@@ -35,8 +76,9 @@ class Fabric:
     the full candidate-mask source-selection tables (:attr:`mask_members`,
     :attr:`best_source_by_mask`), which collapse the topology-aware argmin
     over a validity bitmask into a single list index.  The topology is
-    immutable for the fabric's lifetime, so all of these are built once here
-    and shared by every consumer.
+    immutable, so all of these are built once and shared by every consumer;
+    the source-selection tables are even shared by every fabric built on the
+    same platform object.
     """
 
     #: Aggregate NVLink bandwidth of one V100 (6 bricks x ~25 GB/s, derated).
@@ -176,46 +218,18 @@ class Fabric:
                     deps[idx] = (self._d2h[src], self._h2d[dst])
         self._route_deps = deps
         # --- source-selection tables (consumed by the transfer manager) ---
-        # rank_key[dst][src] is the (performance-rank, src) sort key behind
-        # Platform.peers_by_rank; link_bandwidth the raw directed figure.
-        devices = range(n)
-        self.rank_key: list[dict[int, tuple[int, int]]] = [
-            {
-                src: (platform.p2p_performance_rank(src, dst), src)
-                for src in devices
-                if src != dst
-            }
-            for dst in devices
-        ]
-        self.link_bandwidth: dict[tuple[int, int], float] = {
-            (src, dst): platform.link(src, dst).bandwidth
-            for dst in devices
-            for src in devices
-            if src != dst
-        }
-        # Candidate-mask tables: mask_members[mask] lists the devices of a
-        # validity bitmask in ascending id order (the order the bitmask walk
-        # produces), and best_source_by_mask[dst][mask] is the rank-minimal
-        # member — the whole topology-aware source pick becomes one index.
-        if n <= self.MASK_TABLE_MAX_GPUS:
-            members: list[tuple[int, ...]] = [()] * (1 << n)
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                members[mask] = (low.bit_length() - 1, *members[mask ^ low])
-            self.mask_members: tuple[tuple[int, ...], ...] | None = tuple(members)
-            best: list[list[int]] = []
-            for dst in devices:
-                rank = self.rank_key[dst]
-                table = [-1] * (1 << n)
-                for mask in range(1, 1 << n):
-                    m = mask & ~(1 << dst)
-                    if m:
-                        table[mask] = min(members[m], key=rank.__getitem__)
-                best.append(table)
-            self.best_source_by_mask: list[list[int]] | None = best
-        else:
-            self.mask_members = None
-            self.best_source_by_mask = None
+        # Pure functions of the immutable topology, so they are built once
+        # per platform and shared by every runtime on it; the memo lives on
+        # the platform object and dies with it.
+        tables = platform.selection_tables
+        if tables is None:
+            tables = platform.selection_tables = _selection_tables(
+                platform, self.MASK_TABLE_MAX_GPUS
+            )
+        self.rank_key: list[dict[int, tuple[int, int]]] = tables[0]
+        self.link_bandwidth: dict[tuple[int, int], float] = tables[1]
+        self.mask_members: tuple[tuple[int, ...], ...] | None = tables[2]
+        self.best_source_by_mask: list[list[int]] | None = tables[3]
 
     # ------------------------------------------------------------- reserving
 

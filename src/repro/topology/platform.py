@@ -68,6 +68,10 @@ class Platform:
             if key in self._link_map:
                 raise TopologyError(f"duplicate link {key}")
             self._link_map[key] = link
+        #: the fabric's source-selection tables, built by
+        #: :class:`~repro.runtime.fabric.Fabric` on first use and shared by
+        #: every runtime on this platform (the topology is immutable).
+        self.selection_tables: tuple | None = None
         if self.host_bandwidth == 0.0:
             self.host_bandwidth = self.host_link_kind.default_bandwidth
         if self.host_latency == 0.0:

@@ -42,6 +42,12 @@ DEFAULT_PORT = 7341
 #: error event and the connection is closed.
 MAX_LINE_BYTES = 64 * 1024
 
+#: Most cells one tune query may expand to.  Every built-in expansion fits
+#: (all libraries x both scenarios x the default tile sets is at most 70);
+#: a larger query — thousands of distinct ``tiles`` — would hold the worker
+#: pool for as long as it takes, so the server answers it with an error.
+MAX_QUERY_CELLS = 256
+
 #: Where a ``cell`` number came from (observability, not semantics).
 SOURCE_CACHE = "cache"          # already warm before the query arrived
 SOURCE_COALESCED = "coalesced"  # joined another query's in-flight simulation

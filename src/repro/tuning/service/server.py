@@ -93,6 +93,12 @@ class TuningService:
                 f"candidate tile (tiles={query.tiles}) violates nb < n and "
                 f"n/nb <= 32"
             )
+        if len(specs) > protocol.MAX_QUERY_CELLS:
+            raise BenchmarkError(
+                f"tune query expands to {len(specs)} cells, over the limit of "
+                f"{protocol.MAX_QUERY_CELLS}; narrow its libraries, scenarios "
+                f"or tiles"
+            )
         fingerprint = self.executor.fingerprint
         cache = self.executor.cache
         hits: dict[CellSpec, CellOutcome] = {}

@@ -7,6 +7,7 @@ from repro.errors import CoherenceError
 from repro.memory.coherence import CoherenceDirectory, ReplicaState
 from repro.memory.tile import TileKey
 from repro.topology.link import HOST
+from tests.coherence_tamper import tile_entry
 
 K = TileKey(0, 0, 0)
 
@@ -77,7 +78,7 @@ def test_stale_flight_completion_is_dropped():
     # The flight record is gone after the write; a late completion of a
     # *re-issued* transfer under the old generation must be dropped.
     d.begin_transfer(K, 1, 2.0, 2)
-    d._entries[K].in_flight[1].generation -= 1  # simulate stale generation
+    tile_entry(d, K).in_flight[1].generation -= 1  # simulate stale generation
     assert d.complete_transfer(K, 1) is False
     assert not d.is_valid(K, 1)
 

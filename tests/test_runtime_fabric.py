@@ -7,6 +7,8 @@ from repro.runtime.fabric import Fabric
 from repro.sim.engine import Simulator
 from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST
+from repro.topology.nvswitch import make_nvswitch_node
+from repro.topology.summit import make_summit_node
 
 
 @pytest.fixture()
@@ -112,3 +114,67 @@ def test_traffic_accounting(fabric):
 def test_local_copy_channel(fabric):
     s, e = fabric.reserve_local(0, MB32, 0.0)
     assert e - s < 1e-3  # ~750 GB/s
+
+
+# ------------------------------------------------- source-selection tables
+
+
+def _oracle_tables(platform):
+    """The selection tables derived straight from the Platform queries."""
+    n = platform.num_gpus
+    rank_key = [
+        {src: (platform.p2p_performance_rank(src, dst), src) for src in range(n) if src != dst}
+        for dst in range(n)
+    ]
+    bandwidth = {
+        (src, dst): platform.link(src, dst).bandwidth
+        for src in range(n) for dst in range(n) if src != dst
+    }
+    if n > Fabric.MASK_TABLE_MAX_GPUS:
+        return rank_key, bandwidth, None, None
+    members = tuple(
+        tuple(d for d in range(n) if mask >> d & 1) for mask in range(1 << n)
+    )
+    best = [
+        [
+            next(iter(platform.peers_by_rank(dst, [d for d in members[mask] if d != dst])), -1)
+            for mask in range(1 << n)
+        ]
+        for dst in range(n)
+    ]
+    return rank_key, bandwidth, members, best
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_dgx1(8),
+        lambda: make_dgx1(5),
+        make_nvswitch_node,
+        lambda: make_nvswitch_node(8),
+        make_summit_node,
+    ],
+    ids=["dgx1x8", "dgx1x5", "nvswitch16", "nvswitch8", "summit"],
+)
+def test_memoized_selection_tables_match_a_fresh_build(make):
+    platform = make()
+    first = Fabric(Simulator(), platform)
+    again = Fabric(Simulator(), platform)
+    expected = _oracle_tables(make())
+    for fab in (first, again):
+        got = (fab.rank_key, fab.link_bandwidth, fab.mask_members, fab.best_source_by_mask)
+        assert got == expected
+    assert again.rank_key is first.rank_key
+    assert again.best_source_by_mask is first.best_source_by_mask
+
+
+def test_runtimes_on_one_platform_share_selection_tables():
+    from repro import Runtime
+
+    platform = make_dgx1(8)
+    a, b = Runtime(platform), Runtime(platform)
+    assert a.fabric.best_source_by_mask is b.fabric.best_source_by_mask
+    assert a.fabric.mask_members is b.fabric.mask_members
+    other = Runtime(make_dgx1(8))  # the memo is per platform object
+    assert other.fabric.best_source_by_mask is not a.fabric.best_source_by_mask
+    assert other.fabric.best_source_by_mask == a.fabric.best_source_by_mask

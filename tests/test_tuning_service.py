@@ -363,6 +363,45 @@ def test_tcp_non_positive_tiles_answer_with_errors():
     assert executor.cells_simulated == 0
 
 
+def test_cell_limit_admits_every_builtin_expansion():
+    from repro.libraries import LIBRARIES
+
+    widest = [
+        TuneQuery(routine="gemm", n=n, libraries=tuple(LIBRARIES),
+                  scenarios=("host", "device"))
+        for n in range(1024, 131072 + 1, 1024)
+    ]
+    fast_ladder = [
+        TuneQuery(routine=routine, n=n, libraries=("xkblas", "cublas-xt"), fast=True)
+        for routine in ("gemm", "symm", "syrk", "syr2k", "trmm", "trsm")
+        for n in range(4096, 16384 + 1, 1024)
+    ]
+    largest = max(len(q.specs()) for q in widest)
+    assert largest == 70
+    assert largest <= protocol.MAX_QUERY_CELLS
+    assert all(len(q.specs()) <= protocol.MAX_QUERY_CELLS for q in fast_ladder)
+
+
+def test_tcp_over_limit_query_answers_with_error():
+    tiles = list(range(512, 512 + protocol.MAX_QUERY_CELLS + 1))
+
+    async def scenario(executor, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        query = {"routine": "gemm", "n": 16384, "tiles": tiles}
+        writer.write(protocol.encode({"id": 1, "op": "tune", "query": query}))
+        await writer.drain()
+        event = protocol.decode(await asyncio.wait_for(reader.readline(), 10))
+        writer.close()
+        await writer.wait_closed()
+        return executor, event
+
+    executor, event = _tcp(scenario)
+    assert event["event"] == "error" and event["id"] == 1
+    assert event["kind"] == "BenchmarkError"
+    assert f"over the limit of {protocol.MAX_QUERY_CELLS}" in event["message"]
+    assert executor.cells_simulated == 0
+
+
 def test_tcp_oversized_line_answers_error_then_closes():
     async def scenario(executor, host, port):
         reader, writer = await asyncio.open_connection(host, port)

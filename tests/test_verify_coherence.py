@@ -17,6 +17,7 @@ from repro.memory.tile import TileKey
 from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST
 from repro.verify.coherence import CoherenceSanitizer, check_directory, check_tile
+from tests.coherence_tamper import tile_entry
 
 KEY = TileKey(0, 0, 0)
 
@@ -26,8 +27,7 @@ def codes(findings):
 
 
 def entry_of(directory, key=KEY):
-    directory.is_valid(key, HOST)  # materialize the entry
-    return directory._entries[key]  # noqa: SLF001 — tests tamper on purpose
+    return tile_entry(directory, key)
 
 
 # ----------------------------------------------------------------- clean runs
